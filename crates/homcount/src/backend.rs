@@ -167,8 +167,12 @@ impl BackendChoice {
     /// vs. treewidth by comparing, per connected component, a cheap count
     /// upper bound (the product of the matched relations' sizes, capped by
     /// `n^{vars}` — which bounds the backtracking work) against the DP
-    /// cost `#bags · n^{w+1}` of the min-fill decomposition. The
-    /// `BAGCQ_BACKEND` environment variable overrides the outcome.
+    /// cost `#bags · n^{w+1}` of the min-fill decomposition. That is the
+    /// DP's worst case; its index-driven enumeration usually does far
+    /// less, but the model is kept on purpose so `Auto`'s choices stay
+    /// comparable until it is recalibrated (DESIGN.md §3.8 holds the
+    /// per-shape measurements for that). The `BAGCQ_BACKEND` environment
+    /// variable overrides the outcome.
     pub fn resolve(self, q: &Query, d: &Structure) -> BackendChoice {
         if self != BackendChoice::Auto {
             return self;

@@ -1,12 +1,14 @@
 //! Shared machinery for the counting engines: term resolution, inequality
-//! checking, per-position tuple indexes, and decomposition of a query into
-//! connected components.
+//! checking, the per-count tuple indexes, a cheap hasher for DP tables,
+//! and decomposition of a query into connected components.
 
 use crate::cancel::{CancelReason, Cancelled, EvalControl};
 use bagcq_arith::Nat;
 use bagcq_query::{Inequality, Query, Term};
 use bagcq_structure::{RelId, Structure};
+use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Resolves a term under a partial assignment of variables.
 /// `assign[v] == u32::MAX` means unassigned.
@@ -55,38 +57,154 @@ pub(crate) fn free_var_factor(n: u64, k: u64, ctl: &EvalControl) -> Result<Nat, 
     base.checked_pow(k, bound).ok_or(Cancelled(CancelReason::MemoryBudgetExceeded))
 }
 
-/// Inverted index over one relation of a structure: for a fixed argument
-/// position, maps a vertex to the tuple indexes having that vertex there.
+/// Dense inverted index over one `(relation, position)`: the ids of the
+/// tuples holding vertex `v` at that position are
+/// `ids[offsets[v]..offsets[v + 1]]`, in insertion order. Vertices are
+/// already `0..n`, so this is CSR layout — a lookup is two array reads.
 pub(crate) struct PositionIndex {
-    by_value: HashMap<u32, Vec<u32>>,
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+    /// The distinct vertices occurring at this position, ascending.
+    values: Vec<u32>,
 }
 
 impl PositionIndex {
-    pub(crate) fn build(d: &Structure, rel: RelId, pos: usize) -> Self {
-        let mut by_value: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (i, t) in d.tuples(rel).enumerate() {
-            by_value.entry(t[pos]).or_default().push(i as u32);
+    fn build(flat: &[u32], arity: usize, pos: usize, vertex_count: u32) -> Self {
+        let tuples = flat.chunks_exact(arity);
+        let n = tuples.clone().map(|t| t[pos] + 1).max().unwrap_or(0).max(vertex_count) as usize;
+        // Counting sort: bucket sizes, then end offsets, then fill each
+        // bucket back to front so ids stay in insertion order.
+        let mut offsets = vec![0u32; n + 1];
+        for t in tuples.clone() {
+            offsets[t[pos] as usize] += 1;
         }
-        PositionIndex { by_value }
+        let values = (0..n as u32).filter(|&v| offsets[v as usize] > 0).collect();
+        for v in 1..=n {
+            offsets[v] += offsets[v - 1];
+        }
+        let mut ids = vec![0u32; flat.len() / arity];
+        for (i, t) in tuples.enumerate().rev() {
+            let end = &mut offsets[t[pos] as usize];
+            *end -= 1;
+            ids[*end as usize] = i as u32;
+        }
+        PositionIndex { offsets, ids, values }
     }
 
-    pub(crate) fn get(&self, v: u32) -> &[u32] {
-        self.by_value.get(&v).map_or(&[], Vec::as_slice)
+    /// Ids of the tuples with `v` at this position.
+    #[inline]
+    pub(crate) fn bucket(&self, v: u32) -> &[u32] {
+        match (self.offsets.get(v as usize), self.offsets.get(v as usize + 1)) {
+            (Some(&lo), Some(&hi)) => &self.ids[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// The distinct vertices occurring at this position, ascending.
+    pub(crate) fn values(&self) -> &[u32] {
+        &self.values
     }
 }
 
-/// Index cache: `(relation, position) → PositionIndex`, built lazily while
-/// a single count runs.
-#[derive(Default)]
-pub(crate) struct IndexCache {
-    indexes: HashMap<(u32, u32), PositionIndex>,
+/// The tuple indexes of one count: a [`PositionIndex`] per
+/// `(relation, position)`, each built the first time the count asks for
+/// it and shared by every component.
+pub(crate) struct TupleIndex<'d> {
+    d: &'d Structure,
+    /// Slot of each relation's position 0 in `slots`.
+    first_slot: Vec<usize>,
+    slots: Vec<OnceCell<PositionIndex>>,
 }
 
-impl IndexCache {
-    pub(crate) fn get(&mut self, d: &Structure, rel: RelId, pos: usize) -> &PositionIndex {
-        self.indexes.entry((rel.0, pos as u32)).or_insert_with(|| PositionIndex::build(d, rel, pos))
+impl<'d> TupleIndex<'d> {
+    pub(crate) fn new(d: &'d Structure) -> Self {
+        let schema = d.schema();
+        let mut first_slot = Vec::new();
+        let mut total = 0;
+        for r in schema.relations() {
+            first_slot.push(total);
+            total += schema.arity(r);
+        }
+        TupleIndex { d, first_slot, slots: (0..total).map(|_| OnceCell::new()).collect() }
+    }
+
+    /// The index over position `pos` of `rel`.
+    #[inline]
+    pub(crate) fn at(&self, rel: RelId, pos: usize) -> &PositionIndex {
+        self.slots[self.first_slot[rel.0 as usize] + pos].get_or_init(|| {
+            PositionIndex::build(
+                self.d.flat_tuples(rel),
+                self.d.schema().arity(rel),
+                pos,
+                self.d.vertex_count(),
+            )
+        })
+    }
+
+    /// Ids of the tuples of `rel` with `v` at position `pos`.
+    #[inline]
+    pub(crate) fn bucket(&self, rel: RelId, pos: usize, v: u32) -> &[u32] {
+        self.at(rel, pos).bucket(v)
     }
 }
+
+/// The query's ground atoms and inequalities (those mentioning no
+/// variable) all hold in `d`: the gate every count and enumeration passes
+/// before searching.
+pub(crate) fn ground_gates_hold(q: &Query, d: &Structure, comps: &Components) -> bool {
+    let mut tuple = Vec::new();
+    comps.ground_atoms.iter().all(|&i| {
+        let atom = &q.atoms()[i];
+        tuple.clear();
+        tuple.extend(atom.args.iter().map(|t| resolve(t, &[], d)));
+        d.contains_tuple(atom.rel, &tuple)
+    }) && comps.ground_inequalities.iter().all(|&i| inequality_ok(&q.inequalities()[i], &[], d))
+}
+
+/// A small, fast, non-cryptographic hasher (the multiply-rotate scheme
+/// of `rustc`'s `FxHasher`) for the DP tables. Their keys are packed
+/// vertex ids, which the structure numbers densely itself, and every row
+/// costs a ticked candidate, so the step budget and deadline bound a
+/// table however its keys collide.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct FxHasher {
+    hash: u64,
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ i).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    #[inline]
+    fn write_u128(&mut self, i: u128) {
+        self.write_u64(i as u64);
+        self.write_u64((i >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// A `HashMap` over [`FxHasher`].
+pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Partitions the query's atoms, inequalities and variables into connected
 /// components (variables are connected when they co-occur in an atom or

@@ -1,9 +1,11 @@
 //! The baseline counting engine: indexed backtracking enumeration.
 //!
 //! `ψ(D) = |Hom(ψ, D)|` is computed by ordering the atoms greedily for
-//! connectivity and backtracking over candidate tuples, using per-position
-//! inverted indexes on the structure. Two structural optimizations keep the
-//! engine usable on the paper's constructions:
+//! connectivity and backtracking over candidate tuples: each atom scans the
+//! smallest bucket of the per-count tuple index among its bound positions,
+//! in place. One search core serves counting and enumeration
+//! ([`for_each_hom_limited`]). Two structural optimizations keep the engine
+//! usable on the paper's constructions:
 //!
 //! * **component factorization** — by Lemma 1 the count of a query is the
 //!   product over its connected components, so `θ↑k` costs `k` component
@@ -16,9 +18,11 @@
 //! cross-validated against.
 
 use crate::cancel::{Cancelled, EvalControl, Ticker};
-use crate::common::{components, free_var_factor, inequality_ok, resolve, IndexCache, UNASSIGNED};
+use crate::common::{
+    components, free_var_factor, ground_gates_hold, inequality_ok, resolve, TupleIndex, UNASSIGNED,
+};
 use bagcq_arith::{Accumulator, Nat};
-use bagcq_query::{Query, Term};
+use bagcq_query::{Atom, Query, Term};
 use bagcq_structure::Structure;
 
 /// Reference counting engine (indexed backtracking).
@@ -64,28 +68,22 @@ pub(crate) fn try_count_generic<A: Accumulator>(
     let comps = components(q);
 
     // Ground atoms/inequalities gate the whole count.
-    for &i in &comps.ground_atoms {
-        let a = &q.atoms()[i];
-        let assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-        let args: Vec<_> =
-            a.args.iter().map(|t| bagcq_structure::Vertex(resolve(t, &assign, d))).collect();
-        if !d.contains_atom(a.rel, &args) {
-            return Ok(Nat::zero());
-        }
-    }
-    for &i in &comps.ground_inequalities {
-        let ineq = &q.inequalities()[i];
-        let assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-        if resolve(&ineq.lhs, &assign, d) == resolve(&ineq.rhs, &assign, d) {
-            return Ok(Nat::zero());
-        }
+    if !ground_gates_hold(q, d, &comps) {
+        return Ok(Nat::zero());
     }
 
-    let n = d.vertex_count() as u64;
+    let index = TupleIndex::new(d);
+    let mut search = Search::new(q, d, &index);
     let mut ticker = ctl.ticker();
     let mut total = A::one();
-    for (atom_idx, ineq_idx, vars) in &comps.comps {
-        let c = count_component::<A>(q, d, atom_idx, ineq_idx, vars, &mut ticker)?;
+    for (atom_idx, _, vars) in &comps.comps {
+        // Component variables no atom binds occur only in inequalities:
+        // the leaves enumerate them over the domain.
+        let order = order_atoms(q, d, atom_idx);
+        let tail = unbound_by(q, &order, vars.iter().copied());
+        let mut tally = Tally(A::zero());
+        search.run(&order, &tail, &mut ticker, &mut tally)?;
+        let c = tally.0;
         if c.is_zero() {
             return Ok(Nat::zero());
         }
@@ -93,39 +91,13 @@ pub(crate) fn try_count_generic<A: Accumulator>(
         total.mul_assign_acc(&c);
     }
     if comps.free_vars > 0 {
-        total.mul_assign_nat(&free_var_factor(n, comps.free_vars as u64, ctl)?);
+        total.mul_assign_nat(&free_var_factor(
+            d.vertex_count() as u64,
+            comps.free_vars as u64,
+            ctl,
+        )?);
     }
     Ok(total.into_nat())
-}
-
-/// Counts homomorphisms of one connected component by ordered backtracking.
-fn count_component<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    atom_idx: &[usize],
-    ineq_idx: &[usize],
-    vars: &[u32],
-    ticker: &mut Ticker<'_>,
-) -> Result<A, Cancelled> {
-    let order = order_atoms(q, d, atom_idx);
-    let mut assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-    let mut cache = IndexCache::default();
-    let mut count = A::zero();
-    let mut trail: Vec<u32> = Vec::new();
-    backtrack_atoms(
-        q,
-        d,
-        &order,
-        0,
-        ineq_idx,
-        vars,
-        &mut assign,
-        &mut cache,
-        &mut trail,
-        &mut count,
-        ticker,
-    )?;
-    Ok(count)
 }
 
 /// Greedy atom ordering: repeatedly pick the atom with the most already-
@@ -162,136 +134,207 @@ fn order_atoms(q: &Query, d: &Structure, atom_idx: &[usize]) -> Vec<usize> {
     order
 }
 
-#[allow(clippy::too_many_arguments)]
-fn backtrack_atoms<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    order: &[usize],
-    depth: usize,
-    ineq_idx: &[usize],
-    vars: &[u32],
-    assign: &mut Vec<u32>,
-    cache: &mut IndexCache,
-    trail: &mut Vec<u32>,
-    count: &mut A,
-    ticker: &mut Ticker<'_>,
-) -> Result<(), Cancelled> {
-    if depth == order.len() {
-        // All atoms matched; enumerate component variables that occur only
-        // in inequalities.
-        let unbound: Vec<u32> =
-            vars.iter().copied().filter(|&v| assign[v as usize] == UNASSIGNED).collect();
-        return enumerate_unbound(q, d, &unbound, 0, ineq_idx, assign, count, ticker);
+/// The variables among `vars` that no atom of `order` mentions.
+fn unbound_by(q: &Query, order: &[usize], vars: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut bound = vec![false; q.var_count() as usize];
+    for &ai in order {
+        for t in &q.atoms()[ai].args {
+            if let Term::Var(v) = t {
+                bound[v.0 as usize] = true;
+            }
+        }
     }
-    let atom = &q.atoms()[order[depth]];
-    // Pick the most selective access path: a bound position with the
-    // smallest index bucket, else a full relation scan.
-    let mut best: Option<(usize, u32)> = None; // (position, value)
-    for (pos, t) in atom.args.iter().enumerate() {
-        let v = resolve(t, assign, d);
-        if v != UNASSIGNED {
-            match best {
-                None => best = Some((pos, v)),
-                Some((bp, bv)) => {
-                    let cur_len = cache.get(d, atom.rel, pos).get(v).len();
-                    let best_len = cache.get(d, atom.rel, bp).get(bv).len();
-                    if cur_len < best_len {
-                        best = Some((pos, v));
+    vars.filter(|&v| !bound[v as usize]).collect()
+}
+
+/// What the search does with each complete match.
+trait Visitor {
+    /// Receives one complete assignment; `false` stops the search.
+    fn visit(&mut self, assign: &[u32]) -> bool;
+}
+
+/// Counts matches.
+struct Tally<A>(A);
+
+impl<A: Accumulator> Visitor for Tally<A> {
+    #[inline]
+    fn visit(&mut self, _: &[u32]) -> bool {
+        self.0.add_one();
+        true
+    }
+}
+
+/// Hands matches to a callback until it declines or `limit` (`0` =
+/// unlimited) matches were seen.
+struct Limited<F> {
+    f: F,
+    seen: u64,
+    limit: u64,
+}
+
+impl<F: FnMut(&[u32]) -> bool> Visitor for Limited<F> {
+    fn visit(&mut self, assign: &[u32]) -> bool {
+        self.seen += 1;
+        (self.f)(assign) && (self.limit == 0 || self.seen < self.limit)
+    }
+}
+
+/// The one indexed backtracking core behind counting and enumeration.
+///
+/// Atoms are matched in a fixed order; each atom's candidate tuples are
+/// the smallest index bucket among its bound positions (or the whole
+/// relation), iterated in place. Once every atom matched, the `tail`
+/// variables (those no atom binds) range over the domain. Each tuple or
+/// domain value examined costs one [`Ticker::tick`]; a newly bound
+/// variable is checked against the inequalities mentioning it.
+struct Search<'a> {
+    q: &'a Query,
+    d: &'a Structure,
+    index: &'a TupleIndex<'a>,
+    /// `watch[v]`: the inequalities mentioning variable `v`.
+    watch: Vec<Vec<usize>>,
+    assign: Vec<u32>,
+    trail: Vec<u32>,
+}
+
+impl<'a> Search<'a> {
+    fn new(q: &'a Query, d: &'a Structure, index: &'a TupleIndex<'a>) -> Self {
+        let mut watch = vec![Vec::new(); q.var_count() as usize];
+        for (i, ineq) in q.inequalities().iter().enumerate() {
+            for side in [ineq.lhs, ineq.rhs] {
+                if let Term::Var(v) = side {
+                    if watch[v.0 as usize].last() != Some(&i) {
+                        watch[v.0 as usize].push(i);
                     }
                 }
             }
         }
+        Search {
+            q,
+            d,
+            index,
+            watch,
+            assign: vec![UNASSIGNED; q.var_count() as usize],
+            trail: Vec::new(),
+        }
     }
 
-    let tuple_ids: Vec<u32> = match best {
-        Some((pos, v)) => cache.get(d, atom.rel, pos).get(v).to_vec(),
-        None => (0..d.atom_count(atom.rel) as u32).collect(),
-    };
-    let tuples: Vec<&[u32]> = d.tuples(atom.rel).collect();
-
-    'tuples: for &ti in &tuple_ids {
-        ticker.tick()?;
-        let tuple = tuples[ti as usize];
-        let mark = trail.len();
+    /// Visits every match of the atoms in `order` extended over `tail`;
+    /// `Ok(false)` iff the visitor stopped the search.
+    fn run(
+        &mut self,
+        order: &[usize],
+        tail: &[u32],
+        ticker: &mut Ticker<'_>,
+        visitor: &mut impl Visitor,
+    ) -> Result<bool, Cancelled> {
+        let Some((&ai, rest)) = order.split_first() else {
+            return self.enumerate_tail(tail, ticker, visitor);
+        };
+        let atom = &self.q.atoms()[ai];
+        // The most selective access path: the bound position with the
+        // smallest index bucket, else a full relation scan.
+        let index = self.index;
+        let mut best: Option<&[u32]> = None;
         for (pos, t) in atom.args.iter().enumerate() {
-            let want = tuple[pos];
+            let v = resolve(t, &self.assign, self.d);
+            if v != UNASSIGNED {
+                let bucket = index.bucket(atom.rel, pos, v);
+                if best.is_none_or(|b| bucket.len() < b.len()) {
+                    best = Some(bucket);
+                }
+            }
+        }
+        let flat = self.d.flat_tuples(atom.rel);
+        let arity = atom.args.len();
+        let mut try_tuple = |search: &mut Self, ti: usize| -> Result<bool, Cancelled> {
+            ticker.tick()?;
+            let mark = search.trail.len();
+            let go = !search.bind(atom, &flat[ti * arity..(ti + 1) * arity])
+                || search.run(rest, tail, ticker, visitor)?;
+            search.unwind(mark);
+            Ok(go)
+        };
+        match best {
+            Some(ids) => {
+                for &ti in ids {
+                    if !try_tuple(self, ti as usize)? {
+                        return Ok(false);
+                    }
+                }
+            }
+            None => {
+                for ti in 0..self.d.atom_count(atom.rel) {
+                    if !try_tuple(self, ti)? {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Binds the atom's unbound variables to `tuple`; `false` (with the
+    /// partial bindings left on the trail) if the tuple clashes with a
+    /// constant, an earlier binding or an inequality.
+    fn bind(&mut self, atom: &Atom, tuple: &[u32]) -> bool {
+        for (t, &want) in atom.args.iter().zip(tuple) {
             match t {
                 Term::Const(c) => {
-                    if d.constant_vertex(*c).0 != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
+                    if self.d.constant_vertex(*c).0 != want {
+                        return false;
                     }
                 }
                 Term::Var(v) => {
-                    let cur = assign[v.0 as usize];
+                    let cur = self.assign[v.0 as usize];
                     if cur == UNASSIGNED {
-                        assign[v.0 as usize] = want;
-                        trail.push(v.0);
-                        // Inequality propagation on the newly bound var.
-                        for &ii in ineq_idx {
-                            if !inequality_ok(&q.inequalities()[ii], assign, d) {
-                                unwind(assign, trail, mark);
-                                continue 'tuples;
-                            }
+                        self.assign[v.0 as usize] = want;
+                        self.trail.push(v.0);
+                        if !self.inequalities_hold(v.0) {
+                            return false;
                         }
                     } else if cur != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
+                        return false;
                     }
                 }
             }
         }
-        backtrack_atoms(
-            q,
-            d,
-            order,
-            depth + 1,
-            ineq_idx,
-            vars,
-            assign,
-            cache,
-            trail,
-            count,
-            ticker,
-        )?;
-        unwind(assign, trail, mark);
+        true
     }
-    Ok(())
-}
 
-fn unwind(assign: &mut [u32], trail: &mut Vec<u32>, mark: usize) {
-    while trail.len() > mark {
-        let v = trail.pop().unwrap();
-        assign[v as usize] = UNASSIGNED;
+    #[inline]
+    fn inequalities_hold(&self, v: u32) -> bool {
+        self.watch[v as usize]
+            .iter()
+            .all(|&i| inequality_ok(&self.q.inequalities()[i], &self.assign, self.d))
     }
-}
 
-/// Enumerates variables that occur only in inequalities (never in atoms).
-#[allow(clippy::too_many_arguments)]
-fn enumerate_unbound<A: Accumulator>(
-    q: &Query,
-    d: &Structure,
-    unbound: &[u32],
-    i: usize,
-    ineq_idx: &[usize],
-    assign: &mut Vec<u32>,
-    count: &mut A,
-    ticker: &mut Ticker<'_>,
-) -> Result<(), Cancelled> {
-    if i == unbound.len() {
-        count.add_one();
-        return Ok(());
-    }
-    let v = unbound[i];
-    for u in 0..d.vertex_count() {
-        ticker.tick()?;
-        assign[v as usize] = u;
-        if ineq_idx.iter().all(|&ii| inequality_ok(&q.inequalities()[ii], assign, d)) {
-            enumerate_unbound(q, d, unbound, i + 1, ineq_idx, assign, count, ticker)?;
+    fn unwind(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.assign[v as usize] = UNASSIGNED;
         }
     }
-    assign[v as usize] = UNASSIGNED;
-    Ok(())
+
+    fn enumerate_tail(
+        &mut self,
+        tail: &[u32],
+        ticker: &mut Ticker<'_>,
+        visitor: &mut impl Visitor,
+    ) -> Result<bool, Cancelled> {
+        let Some((&v, rest)) = tail.split_first() else {
+            return Ok(visitor.visit(&self.assign));
+        };
+        for u in 0..self.d.vertex_count() {
+            ticker.tick()?;
+            self.assign[v as usize] = u;
+            if self.inequalities_hold(v) && !self.enumerate_tail(rest, ticker, visitor)? {
+                self.assign[v as usize] = UNASSIGNED;
+                return Ok(false);
+            }
+        }
+        self.assign[v as usize] = UNASSIGNED;
+        Ok(true)
+    }
 }
 
 /// Enumerates complete homomorphisms (every variable assigned, including
@@ -313,188 +356,23 @@ pub fn try_for_each_hom_limited(
     d: &Structure,
     limit: u64,
     ctl: &EvalControl,
-    mut f: impl FnMut(&[u32]) -> bool,
+    f: impl FnMut(&[u32]) -> bool,
 ) -> Result<(), Cancelled> {
-    // Check ground atoms first.
-    let empty_assign: Vec<u32> = vec![UNASSIGNED; q.var_count() as usize];
-    for a in q.atoms() {
-        if a.args.iter().all(|t| matches!(t, Term::Const(_))) {
-            let args: Vec<_> = a
-                .args
-                .iter()
-                .map(|t| bagcq_structure::Vertex(resolve(t, &empty_assign, d)))
-                .collect();
-            if !d.contains_atom(a.rel, &args) {
-                return Ok(());
-            }
-        }
+    let comps = components(q);
+    if !ground_gates_hold(q, d, &comps) {
+        return Ok(());
     }
-
     let all_atoms: Vec<usize> = (0..q.atoms().len()).collect();
-    let all_ineqs: Vec<usize> = (0..q.inequalities().len()).collect();
     let order = order_atoms(q, d, &all_atoms);
-    let mut assign = empty_assign;
-    let mut cache = IndexCache::default();
-    let mut trail: Vec<u32> = Vec::new();
-    let mut seen: u64 = 0;
-    let mut stop = false;
+    let tail = unbound_by(q, &order, 0..q.var_count());
+    let index = TupleIndex::new(d);
     let mut ticker = ctl.ticker();
-    full_backtrack(
-        q,
-        d,
+    Search::new(q, d, &index).run(
         &order,
-        0,
-        &all_ineqs,
-        &mut assign,
-        &mut cache,
-        &mut trail,
-        &mut seen,
-        limit,
-        &mut stop,
+        &tail,
         &mut ticker,
-        &mut f,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn full_backtrack(
-    q: &Query,
-    d: &Structure,
-    order: &[usize],
-    depth: usize,
-    ineq_idx: &[usize],
-    assign: &mut Vec<u32>,
-    cache: &mut IndexCache,
-    trail: &mut Vec<u32>,
-    seen: &mut u64,
-    limit: u64,
-    stop: &mut bool,
-    ticker: &mut Ticker<'_>,
-    f: &mut impl FnMut(&[u32]) -> bool,
-) -> Result<(), Cancelled> {
-    if *stop {
-        return Ok(());
-    }
-    if depth == order.len() {
-        // Enumerate every remaining unassigned variable over the domain.
-        let unbound: Vec<u32> =
-            (0..q.var_count()).filter(|&v| assign[v as usize] == UNASSIGNED).collect();
-        return full_enumerate(q, d, &unbound, 0, ineq_idx, assign, seen, limit, stop, ticker, f);
-    }
-    let atom = &q.atoms()[order[depth]];
-    let mut best: Option<(usize, u32)> = None;
-    for (pos, t) in atom.args.iter().enumerate() {
-        let v = resolve(t, assign, d);
-        if v != UNASSIGNED {
-            best = match best {
-                None => Some((pos, v)),
-                Some((bp, bv)) => {
-                    if cache.get(d, atom.rel, pos).get(v).len()
-                        < cache.get(d, atom.rel, bp).get(bv).len()
-                    {
-                        Some((pos, v))
-                    } else {
-                        Some((bp, bv))
-                    }
-                }
-            };
-        }
-    }
-    let tuple_ids: Vec<u32> = match best {
-        Some((pos, v)) => cache.get(d, atom.rel, pos).get(v).to_vec(),
-        None => (0..d.atom_count(atom.rel) as u32).collect(),
-    };
-    let tuples: Vec<&[u32]> = d.tuples(atom.rel).collect();
-    'tuples: for &ti in &tuple_ids {
-        if *stop {
-            return Ok(());
-        }
-        ticker.tick()?;
-        let tuple = tuples[ti as usize];
-        let mark = trail.len();
-        for (pos, t) in atom.args.iter().enumerate() {
-            let want = tuple[pos];
-            match t {
-                Term::Const(c) => {
-                    if d.constant_vertex(*c).0 != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
-                    }
-                }
-                Term::Var(v) => {
-                    let cur = assign[v.0 as usize];
-                    if cur == UNASSIGNED {
-                        assign[v.0 as usize] = want;
-                        trail.push(v.0);
-                        for &ii in ineq_idx {
-                            if !inequality_ok(&q.inequalities()[ii], assign, d) {
-                                unwind(assign, trail, mark);
-                                continue 'tuples;
-                            }
-                        }
-                    } else if cur != want {
-                        unwind(assign, trail, mark);
-                        continue 'tuples;
-                    }
-                }
-            }
-        }
-        full_backtrack(
-            q,
-            d,
-            order,
-            depth + 1,
-            ineq_idx,
-            assign,
-            cache,
-            trail,
-            seen,
-            limit,
-            stop,
-            ticker,
-            f,
-        )?;
-        unwind(assign, trail, mark);
-    }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn full_enumerate(
-    q: &Query,
-    d: &Structure,
-    unbound: &[u32],
-    i: usize,
-    ineq_idx: &[usize],
-    assign: &mut Vec<u32>,
-    seen: &mut u64,
-    limit: u64,
-    stop: &mut bool,
-    ticker: &mut Ticker<'_>,
-    f: &mut impl FnMut(&[u32]) -> bool,
-) -> Result<(), Cancelled> {
-    if *stop {
-        return Ok(());
-    }
-    if i == unbound.len() {
-        *seen += 1;
-        if !f(assign) || (limit != 0 && *seen >= limit) {
-            *stop = true;
-        }
-        return Ok(());
-    }
-    let v = unbound[i];
-    for u in 0..d.vertex_count() {
-        if *stop {
-            break;
-        }
-        ticker.tick()?;
-        assign[v as usize] = u;
-        if ineq_idx.iter().all(|&ii| inequality_ok(&q.inequalities()[ii], assign, d)) {
-            full_enumerate(q, d, unbound, i + 1, ineq_idx, assign, seen, limit, stop, ticker, f)?;
-        }
-    }
-    assign[v as usize] = UNASSIGNED;
+        &mut Limited { f, seen: 0, limit },
+    )?;
     Ok(())
 }
 

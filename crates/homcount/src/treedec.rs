@@ -88,52 +88,119 @@ impl TreeDecomposition {
 /// singleton bags.
 pub fn decompose_min_fill(n: u32, adj: &[HashSet<u32>]) -> TreeDecomposition {
     assert_eq!(adj.len(), n as usize);
-    let mut work: Vec<HashSet<u32>> = adj.to_vec();
-    let mut eliminated = vec![false; n as usize];
-    let mut order: Vec<u32> = Vec::with_capacity(n as usize);
-    // Bag contents decided at elimination time: v plus its not-yet-
-    // eliminated neighbors in the (filled) working graph.
-    let mut bag_of: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+    let mut graph = BitGraph::new(n);
+    for (v, nbrs) in adj.iter().enumerate() {
+        for &u in nbrs {
+            graph.add_arc(v as u32, u);
+        }
+    }
+    graph.decompose_min_fill()
+}
 
-    for _ in 0..n {
-        // Min-fill: vertex whose neighborhood needs fewest fill edges.
-        let mut best: Option<(u32, usize)> = None;
-        for v in 0..n {
-            if eliminated[v as usize] {
-                continue;
-            }
-            let nbrs: Vec<u32> =
-                work[v as usize].iter().copied().filter(|&u| !eliminated[u as usize]).collect();
-            let mut fill = 0usize;
-            for i in 0..nbrs.len() {
-                for j in (i + 1)..nbrs.len() {
-                    if !work[nbrs[i] as usize].contains(&nbrs[j]) {
-                        fill += 1;
-                    }
-                }
-            }
-            if best.is_none_or(|(_, bf)| fill < bf) {
-                best = Some((v, fill));
-            }
-        }
-        let (v, _) = best.expect("some vertex remains");
-        let nbrs: Vec<u32> =
-            work[v as usize].iter().copied().filter(|&u| !eliminated[u as usize]).collect();
-        // Fill in the neighborhood.
-        for i in 0..nbrs.len() {
-            for j in (i + 1)..nbrs.len() {
-                work[nbrs[i] as usize].insert(nbrs[j]);
-                work[nbrs[j] as usize].insert(nbrs[i]);
-            }
-        }
-        let mut bag = nbrs;
-        bag.push(v);
-        bag.sort_unstable();
-        bag_of[v as usize] = bag;
-        eliminated[v as usize] = true;
-        order.push(v);
+/// A graph on `0..n` as adjacency bit rows: the working graph of min-fill
+/// elimination, where a neighbourhood, its fill count and its fill-in are
+/// a few word operations each.
+pub(crate) struct BitGraph {
+    n: u32,
+    words: usize,
+    rows: Vec<u64>,
+}
+
+impl BitGraph {
+    pub(crate) fn new(n: u32) -> Self {
+        let words = (n as usize).div_ceil(64);
+        BitGraph { n, words, rows: vec![0; n as usize * words] }
     }
 
+    /// Adds `u` to the neighbourhood of `v` (callers add both directions;
+    /// a vertex is never its own neighbour).
+    pub(crate) fn add_arc(&mut self, v: u32, u: u32) {
+        if v != u {
+            self.rows[v as usize * self.words + u as usize / 64] |= 1 << (u % 64);
+        }
+    }
+
+    fn row(&self, v: u32) -> &[u64] {
+        &self.rows[v as usize * self.words..(v as usize + 1) * self.words]
+    }
+
+    /// Writes `v`'s neighbours among `alive` into `out`.
+    fn live_neighbours(&self, v: u32, alive: &[u64], out: &mut [u64]) {
+        for (o, (r, a)) in out.iter_mut().zip(self.row(v).iter().zip(alive)) {
+            *o = r & a;
+        }
+    }
+
+    /// Min-fill elimination: repeatedly eliminates the remaining vertex
+    /// whose remaining neighbourhood needs the fewest fill edges (lowest
+    /// id on ties), recording that neighbourhood plus the vertex as its
+    /// bag, then turns the bags into a tree.
+    pub(crate) fn decompose_min_fill(mut self) -> TreeDecomposition {
+        let n = self.n;
+        let mut alive: Vec<u64> = vec![0; self.words];
+        for v in 0..n {
+            alive[v as usize / 64] |= 1 << (v % 64);
+        }
+        let mut order: Vec<u32> = Vec::with_capacity(n as usize);
+        // Bag contents decided at elimination time: v plus its not-yet-
+        // eliminated neighbors in the (filled) working graph.
+        let mut bag_of: Vec<Vec<u32>> = vec![Vec::new(); n as usize];
+        let mut nbrs = vec![0u64; self.words];
+        for _ in 0..n {
+            let mut best: Option<(u32, u32)> = None;
+            for v in bits(&alive) {
+                self.live_neighbours(v, &alive, &mut nbrs);
+                // Non-adjacent neighbour pairs, each seen from both ends
+                // (every `u` also counts itself once: `u ∉ row(u)`).
+                let missing: u32 = bits(&nbrs)
+                    .map(|u| {
+                        let outside =
+                            self.row(u).iter().zip(&nbrs).map(|(r, w)| (w & !r).count_ones());
+                        outside.sum::<u32>() - 1
+                    })
+                    .sum();
+                let fill = missing / 2;
+                if best.is_none_or(|(_, bf)| fill < bf) {
+                    best = Some((v, fill));
+                }
+            }
+            let (v, _) = best.expect("some vertex remains");
+            self.live_neighbours(v, &alive, &mut nbrs);
+            // Fill in the neighborhood.
+            let mut bag: Vec<u32> = bits(&nbrs).collect();
+            for &u in &bag {
+                let base = u as usize * self.words;
+                for (i, w) in nbrs.iter().enumerate() {
+                    self.rows[base + i] |= w;
+                }
+                self.rows[base + u as usize / 64] &= !(1 << (u % 64));
+            }
+            bag.push(v);
+            bag.sort_unstable();
+            bag_of[v as usize] = bag;
+            alive[v as usize / 64] &= !(1 << (v % 64));
+            order.push(v);
+        }
+        tree_of_bags(n, order, bag_of)
+    }
+}
+
+/// The set bits of a bit row, ascending.
+fn bits(row: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    row.iter().enumerate().flat_map(|(i, &word)| {
+        let mut w = word;
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let b = w.trailing_zeros();
+                w &= w - 1;
+                i as u32 * 64 + b
+            })
+        })
+    })
+}
+
+/// Links the bags of an elimination order into a rooted tree.
+fn tree_of_bags(n: u32, order: Vec<u32>, bag_of: Vec<Vec<u32>>) -> TreeDecomposition {
     // Build the tree: bag(v) attaches to bag(u) where u is the earliest-
     // eliminated vertex of bag(v)\{v}; if none, it becomes a root; multiple
     // roots are joined under a synthetic empty root to keep one tree.

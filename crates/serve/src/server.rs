@@ -65,7 +65,7 @@ use bagcq_obs::stages;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -150,7 +150,10 @@ struct Shared {
     drain_timeout: Duration,
     stop: AtomicBool,
     draining: AtomicBool,
-    live_connections: AtomicUsize,
+    /// Open connections, each served by its own thread; `connection_closed`
+    /// is signalled whenever one ends, so shutdown can wait for them.
+    live_connections: Mutex<usize>,
+    connection_closed: Condvar,
     max_connections: usize,
     shutdown_requested: Mutex<bool>,
     shutdown_cv: Condvar,
@@ -209,7 +212,8 @@ impl Server {
             drain_timeout: config.drain_timeout,
             stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
-            live_connections: AtomicUsize::new(0),
+            live_connections: Mutex::new(0),
+            connection_closed: Condvar::new(),
             max_connections: config.max_connections.max(1),
             shutdown_requested: Mutex::new(false),
             shutdown_cv: Condvar::new(),
@@ -269,13 +273,22 @@ impl Server {
         *guard
     }
 
-    /// Stops accepting, wakes the acceptors, and joins them. In-flight
-    /// connections finish their current request and close.
+    /// Stops accepting, wakes the acceptors, and joins them, then waits
+    /// (at most the drain timeout) for the open connections to finish
+    /// their current request and close — so a reply in flight, such as
+    /// the `/admin/drain` answer that triggered the shutdown, is fully
+    /// written before the caller moves on (or the process exits).
     pub fn shutdown(mut self) {
         self.stop_accepting();
         for handle in self.acceptors.drain(..) {
             let _ = handle.join();
         }
+        let live = self.shared.live_connections.lock().unwrap_or_else(|p| p.into_inner());
+        let _ = self
+            .shared
+            .connection_closed
+            .wait_timeout_while(live, self.shared.drain_timeout, |live| *live > 0)
+            .unwrap_or_else(|p| p.into_inner());
     }
 
     fn stop_accepting(&self) {
@@ -313,7 +326,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         // Chaos wrap happens before anything touches the socket, so even
         // the over-limit 503 below rides the faulted transport.
         let conn = Conn::from_stream(stream, shared.injector.as_deref(), "accept");
-        let live = shared.live_connections.fetch_add(1, Ordering::AcqRel) + 1;
+        let live = {
+            let mut live = shared.live_connections.lock().unwrap_or_else(|p| p.into_inner());
+            *live += 1;
+            *live
+        };
         if live > shared.max_connections {
             let mut conn = conn;
             let _ = conn.set_write_timeout(Some(shared.write_deadline));
@@ -324,15 +341,25 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             )
             .render();
             let _ = send_reply(&mut conn, 503, "Service Unavailable", &body, false, &shared);
-            shared.live_connections.fetch_sub(1, Ordering::AcqRel);
+            connection_ended(&shared);
             continue;
         }
-        let shared = Arc::clone(&shared);
-        let _ = thread::Builder::new().name("bagcq-serve-conn".into()).spawn(move || {
-            serve_connection(conn, &shared);
-            shared.live_connections.fetch_sub(1, Ordering::AcqRel);
+        let worker = Arc::clone(&shared);
+        let spawned = thread::Builder::new().name("bagcq-serve-conn".into()).spawn(move || {
+            serve_connection(conn, &worker);
+            connection_ended(&worker);
         });
+        if spawned.is_err() {
+            connection_ended(&shared);
+        }
     }
+}
+
+/// Books one connection as closed and wakes a waiting shutdown.
+fn connection_ended(shared: &Shared) {
+    let mut live = shared.live_connections.lock().unwrap_or_else(|p| p.into_inner());
+    *live -= 1;
+    shared.connection_closed.notify_all();
 }
 
 /// A read half that enforces an absolute deadline: before every read it
@@ -563,7 +590,12 @@ fn route(
             snap.tenants = shared.gate.snapshot();
             Reply::of((200, "OK", snap.render()))
         }
-        ("POST", "/admin/drain") => Reply::of(admin_drain(request, shared)),
+        ("POST", "/admin/drain") => {
+            // A granted drain shuts the server down: close after replying.
+            let mut reply = Reply::of(admin_drain(request, shared));
+            reply.close = reply.status == 200;
+            reply
+        }
         ("POST", "/v1/count") => serve_tenant_job(request, shared, tenant_conn, JobKind::Count),
         ("POST", "/v1/check") => serve_tenant_job(request, shared, tenant_conn, JobKind::Check),
         _ => Reply::of((

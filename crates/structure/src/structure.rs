@@ -12,13 +12,84 @@
 
 use crate::fingerprint::{Fingerprint, FingerprintHasher};
 use crate::schema::{ConstId, RelId, Schema};
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A vertex (element of the active domain) of a [`Structure`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Vertex(pub u32);
+
+/// A borrowed tuple as the membership set sees it: hashed and compared
+/// element by element, so `&[u32]` and `&[Vertex]` probe the set without
+/// building a boxed key.
+trait TupleView {
+    fn arity(&self) -> usize;
+    fn at(&self, i: usize) -> u32;
+}
+
+impl TupleView for Box<[u32]> {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, i: usize) -> u32 {
+        self[i]
+    }
+}
+
+impl TupleView for &[u32] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, i: usize) -> u32 {
+        self[i]
+    }
+}
+
+impl TupleView for &[Vertex] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+    fn at(&self, i: usize) -> u32 {
+        self[i].0
+    }
+}
+
+impl Hash for dyn TupleView + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.arity());
+        for i in 0..self.arity() {
+            state.write_u32(self.at(i));
+        }
+    }
+}
+
+impl PartialEq for dyn TupleView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity() == other.arity() && (0..self.arity()).all(|i| self.at(i) == other.at(i))
+    }
+}
+
+impl Eq for dyn TupleView + '_ {}
+
+/// An owned tuple in the membership set; hashes exactly like its
+/// [`TupleView`], which is what lets borrowed views look it up.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct TupleKey(Box<[u32]>);
+
+impl Hash for TupleKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.0 as &dyn TupleView).hash(state)
+    }
+}
+
+impl<'a> Borrow<dyn TupleView + 'a> for TupleKey {
+    fn borrow(&self) -> &(dyn TupleView + 'a) {
+        &self.0
+    }
+}
 
 /// Tuple storage for one relation symbol.
 #[derive(Clone, Debug)]
@@ -27,7 +98,7 @@ struct RelationData {
     /// Flattened tuples, `arity` entries each, in insertion order.
     flat: Vec<u32>,
     /// Membership index over the same tuples.
-    set: HashSet<Box<[u32]>>,
+    set: HashSet<TupleKey>,
 }
 
 impl RelationData {
@@ -135,7 +206,7 @@ impl Structure {
         let data = &mut self.rels[rel.0 as usize];
         assert_eq!(args.len(), data.arity, "arity mismatch in add_atom");
         debug_assert!(args.iter().all(|v| v.0 < self.vertex_count), "vertex out of range");
-        let key: Box<[u32]> = args.iter().map(|v| v.0).collect();
+        let key = TupleKey(args.iter().map(|v| v.0).collect());
         if data.set.insert(key) {
             data.flat.extend(args.iter().map(|v| v.0));
             true
@@ -144,12 +215,19 @@ impl Structure {
         }
     }
 
-    /// Membership test for an atom.
+    /// Membership test for an atom (allocation-free).
     pub fn contains_atom(&self, rel: RelId, args: &[Vertex]) -> bool {
         let data = &self.rels[rel.0 as usize];
         assert_eq!(args.len(), data.arity, "arity mismatch in contains_atom");
-        let key: Vec<u32> = args.iter().map(|v| v.0).collect();
-        data.set.contains(key.as_slice())
+        data.set.contains(&args as &dyn TupleView)
+    }
+
+    /// Membership test for a raw `u32` tuple (allocation-free) — the form
+    /// the counting kernels hold their candidate assignments in.
+    pub fn contains_tuple(&self, rel: RelId, tuple: &[u32]) -> bool {
+        let data = &self.rels[rel.0 as usize];
+        assert_eq!(tuple.len(), data.arity, "arity mismatch in contains_tuple");
+        data.set.contains(&tuple as &dyn TupleView)
     }
 
     /// Number of tuples in a relation. The anti-cheating query `ζ_b`
@@ -170,6 +248,14 @@ impl Structure {
         data.flat.chunks_exact(data.arity)
     }
 
+    /// The tuples of a relation flattened into one slice, `arity` entries
+    /// per tuple in insertion order: tuple `i` is
+    /// `flat[i * arity..(i + 1) * arity]`. Random access for indexes that
+    /// store tuple ids.
+    pub fn flat_tuples(&self, rel: RelId) -> &[u32] {
+        &self.rels[rel.0 as usize].flat
+    }
+
     /// True iff every atom of `other` (same schema) is an atom of `self`
     /// and constants are interpreted identically. This is the `⊇` of
     /// Definition 13 read right-to-left.
@@ -178,9 +264,9 @@ impl Structure {
         if self.const_interp != other.const_interp {
             return false;
         }
-        self.schema
-            .relations()
-            .all(|r| other.tuples(r).all(|t| self.rels[r.0 as usize].set.contains(t)))
+        self.schema.relations().all(|r| {
+            other.tuples(r).all(|t| self.rels[r.0 as usize].set.contains(&t as &dyn TupleView))
+        })
     }
 
     /// True iff `self` and `other` have exactly the same atoms on the given

@@ -190,3 +190,58 @@ fn errors_are_reported() {
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
 }
+
+/// `bagcq serve` stops on `POST /admin/drain`: the drain reply must reach
+/// the client whole before the process exits, every time. Twenty fresh
+/// servers, one drain each.
+#[test]
+fn serve_drain_reply_arrives_before_exit() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::TcpStream;
+    use std::process::Stdio;
+
+    for round in 0..20 {
+        let mut child = bagcq()
+            .args(["serve", "--addr", "127.0.0.1:0", "--rate", "0", "--burst", "0"])
+            .args(["--max-in-flight", "0"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("serve starts");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut banner = String::new();
+        stdout.read_line(&mut banner).expect("banner line");
+        let addr = banner
+            .trim()
+            .strip_prefix("bagcq-serve listening on ")
+            .unwrap_or_else(|| panic!("round {round}: unexpected banner {banner:?}"))
+            .to_string();
+        // Keep the pipe drained so shutdown output never blocks the child.
+        let rest = std::thread::spawn(move || std::io::copy(&mut stdout, &mut std::io::sink()));
+
+        let mut conn = TcpStream::connect(&addr).expect("connect");
+        conn.write_all(
+            b"POST /admin/drain HTTP/1.1\r\nX-Api-Key: admin-key\r\nContent-Length: 0\r\n\r\n",
+        )
+        .expect("send drain");
+        let mut reply = Vec::new();
+        conn.read_to_end(&mut reply).expect("read drain reply");
+        let reply = String::from_utf8_lossy(&reply);
+        let (head, body) = reply
+            .split_once("\r\n\r\n")
+            .unwrap_or_else(|| panic!("round {round}: truncated reply {reply:?}"));
+        assert!(head.starts_with("HTTP/1.1 200"), "round {round}: {head}");
+        let length: usize = head
+            .lines()
+            .find_map(|l| {
+                l.to_ascii_lowercase().strip_prefix("content-length:").map(str::to_string)
+            })
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or_else(|| panic!("round {round}: no content-length in {head}"));
+        assert_eq!(body.len(), length, "round {round}: partial body {body:?}");
+        assert!(body.starts_with("ok: drained\n"), "round {round}: {body}");
+
+        let status = child.wait().expect("serve exits");
+        assert!(status.success(), "round {round}: serve exited with {status}");
+        rest.join().expect("stdout reader").expect("stdout drained");
+    }
+}
